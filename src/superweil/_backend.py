@@ -1,33 +1,10 @@
-"""Kernel selection.
+"""Binding of the term-map kernel.
 
-SUPERWEIL_BACKEND controls which term-map kernel the package binds at import:
-  auto      compiled if importable, else pure (default)
-  compiled  require the Cython extension, fail loudly if missing
-  pure      force the Python fallback
+algebra and matrix call the kernel through these names; BACKEND names it in
+environment stamps.
 """
 
-import os
-
-from . import _kernel_py
-
-_choice = os.environ.get("SUPERWEIL_BACKEND", "auto").strip().lower()
-
-if _choice in ("auto", "compiled"):
-    try:
-        from . import _kernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        if _choice == "compiled":
-            raise ImportError(
-                "SUPERWEIL_BACKEND=compiled but the superweil._kernel extension "
-                "is not built; reinstall the package or use SUPERWEIL_BACKEND=pure"
-            )
-        _impl = _kernel_py
-elif _choice == "pure":
-    _impl = _kernel_py
-else:
-    raise ImportError(f"unknown SUPERWEIL_BACKEND value: {_choice!r}")
-
-kernel = _impl
+from . import _kernel_py as kernel
 
 BACKEND = kernel.BACKEND_NAME
 

@@ -3,8 +3,8 @@
 A monomial in the generators e1..ep (even, square zero) and t1..tq (odd,
 anticommuting) is packed into one int key: bits 0..15 hold the even index
 set, bits 16..31 the odd index set.  An element is a dict {key: Fraction}
-holding no zero coefficients.  The compiled module _kernel.pyx implements
-the same six functions; _backend picks one at import time.
+holding no zero coefficients.  The rest of the package binds these
+functions through _backend.
 """
 
 MASK = 0xFFFF

@@ -213,6 +213,11 @@ class AlgebraElement:
             return self * other.inv()
         return NotImplemented
 
+    def __rtruediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Fraction(other) * self.inv()
+        return NotImplemented
+
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.signature.scalar(other)

@@ -46,10 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the result here instead of stdout")
     c.add_argument("--basis", choices=("gl", "sl", "stabilizer"),
                    default="sl", help="direction basis for jacobian")
-
-    b = sub.add_parser("bench", help="time the compiled and pure kernels")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--reps", type=int, default=40)
     return ap
 
 
@@ -99,10 +95,10 @@ def _run_compute(args) -> int:
             print(f"compute {args.what} needs --in PATH", file=sys.stderr)
             return 2
         try:
-            with open(args.infile) as fh:
+            with open(args.infile, encoding="utf-8") as fh:
                 obj = serialize.loads(fh.read())
             result = _compute_payload(args.what, obj)
-        except ParseError as exc:
+        except (ParseError, UnicodeDecodeError) as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return 3
         except KernelError as exc:
@@ -130,11 +126,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     if args.command == "verify":
         return _run_verify(args)
-    if args.command == "compute":
-        return _run_compute(args)
-    from .bench import run_comparison
-
-    return run_comparison(args.seed, args.reps)
+    return _run_compute(args)
 
 
 def main_entry() -> None:

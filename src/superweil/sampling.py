@@ -12,7 +12,7 @@ from fractions import Fraction
 from .algebra import Parity, Signature
 from .errors import OutsideBigCell
 from .matrix import SuperMatrix, from_blocks
-from .rational import rat_inv, rat_transpose
+from .rational import rat_inv, rat_matmul, rat_transpose
 
 UNITS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)]
 COEFFS = [Fraction(n, d) for n in (-2, -1, 1, 2) for d in (1, 2, 3)]
@@ -145,14 +145,6 @@ def symplectic_body(two_n: int, rng):
     """Exact symplectic matrix for the form [[0, I], [-I, 0]]."""
     n = two_n // 2
     out = [[Fraction(int(i == j)) for j in range(two_n)] for i in range(two_n)]
-
-    def matmul(x, y):
-        return [
-            [sum((x[i][k] * y[k][j] for k in range(two_n)), Fraction(0))
-             for j in range(two_n)]
-            for i in range(two_n)
-        ]
-
     for _ in range(3):
         kind = rng.randrange(3)
         g = [[Fraction(int(i == j)) for j in range(two_n)] for i in range(two_n)]
@@ -174,7 +166,7 @@ def symplectic_body(two_n: int, rng):
                         g[i][n + j] = B[i][j]
                     else:
                         g[n + i][j] = B[i][j]
-        out = matmul(out, g)
+        out = rat_matmul(out, g)
     return out
 
 

@@ -29,6 +29,8 @@ def loads(text: str):
         return json.loads(text)
     except ValueError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
 
 
 # emitters
@@ -123,7 +125,10 @@ def _expect_indices(v, count: int, path: str) -> tuple:
 def _expect_coeff(v, path: str) -> Fraction:
     if not isinstance(v, str) or not _COEFF_RE.match(v):
         raise ParseError(f"{path}: coefficient must be a fraction string")
-    c = Fraction(v)
+    try:
+        c = Fraction(v)
+    except ValueError as exc:  # beyond the interpreter's int string limit
+        raise ParseError(f"{path}: {exc}") from None
     if str(c) != v:
         raise ParseError(f"{path}: coefficient {v!r} is not in canonical form")
     if not c:

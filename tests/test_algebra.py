@@ -163,6 +163,17 @@ def test_division():
         SIG.one() / 0
 
 
+def test_scalar_over_element():
+    x = 2 + SIG.theta(1) * SIG.theta(2)
+    assert 1 / x == Fraction(1, 2) - Fraction(1, 4) * SIG.theta(1) * SIG.theta(2)
+    assert Fraction(3, 2) / x == Fraction(3, 2) * x.inv()
+    assert (3 / x) * x == SIG.scalar(3)
+    with pytest.raises(BodyZero):
+        1 / SIG.theta(1)
+    with pytest.raises(TypeError):
+        1.5 / x
+
+
 def test_pow():
     x = SIG.scalar(2) + SIG.theta(1) * SIG.theta(2)
     assert x ** 0 == SIG.one()

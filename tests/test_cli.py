@@ -3,6 +3,8 @@
 import json
 import random
 
+import pytest
+
 from superweil.algebra import Signature
 from superweil.cli import main
 from superweil.flag import BigCellPoint, poincare_act
@@ -139,6 +141,20 @@ def test_compute_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("payload", [
+    b"\xff\xfe not utf-8",
+    # the identity with one coefficient beyond the int string limit
+    S.dumps(S.matrix_to_obj(SuperMatrix.identity(SIG, (2, 2))))
+    .replace('"c":"1"', '"c":"' + "1" * 5000 + '"', 1).encode(),
+    b"[" * 100000 + b"]" * 100000,
+], ids=["not_utf8", "long_coefficient", "deep_nesting"])
+def test_compute_input_failures_are_parse_errors(tmp_path, capsys, payload):
+    path = tmp_path / "in.json"
+    path.write_bytes(payload)
+    assert main(["compute", "ber", "--in", str(path)]) == 3
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_pi_outside_big_cell_is_domain_error(tmp_path, capsys):
     rows = [[SIG.zero()] * 5 for _ in range(5)]
     rows[0][2] = rows[1][3] = rows[2][0] = rows[3][1] = rows[4][4] = SIG.one()
@@ -153,14 +169,6 @@ def test_argparse_statuses(capsys):
     assert main(["--help"]) == 0
     assert main(["compute", "nope"]) == 2
     assert main(["bogus"]) == 2
+    assert main(["bench"]) == 2
     capsys.readouterr()
 
-
-def test_bench_worker_mode(capsys):
-    from superweil.bench import main as bench_main
-
-    assert bench_main(["--worker", "--seed", "1", "--reps", "1"]) == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert obj["backend"] in ("pure", "compiled")
-    assert set(obj["timings"]) == {"element_mul", "matmul_4_1", "berezinian_4_1"}
-    assert all(t >= 0 for t in obj["timings"].values())
