@@ -64,11 +64,20 @@ def _run_verify(args) -> int:
         return 2
     report = run_suites(cfg)
     print(report.text())
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(serialize.dumps(report.to_obj()))
-            fh.write("\n")
+    if args.report and not _write(args.report, serialize.dumps(report.to_obj())):
+        return 2
     return 0 if report.total_failed == 0 else 1
+
+
+def _write(path: str, text: str) -> bool:
+    """Write text and a newline to path; an unwritable path is a config error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _compute_payload(what: str, obj):
@@ -109,11 +118,8 @@ def _run_compute(args) -> int:
             return 2
         out = serialize.dumps(result)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-            fh.write("\n")
-    else:
-        print(out)
+        return 0 if _write(args.out, out) else 2
+    print(out)
     return 0
 
 

@@ -120,15 +120,11 @@ def flag_pi(g: SuperMatrix) -> BigCellPoint:
         raise OutsideBigCell("upper-left block has a singular scalar part")
     if not g55.body():
         raise OutsideBigCell("corner entry has zero scalar part")
-    g55i = g55.inv()
-    Y = Z - (tau1 @ rho1).scale(g55i)
-    if rat_det(body_matrix(Y)) == 0:
-        raise OutsideBigCell("second-chart block has a singular scalar part")
+    # rho1 and tau1 are odd, so rho1 Z^-1 tau1 and tau1 rho1 are body-free:
+    # the normalizer below has the body of g55, and the second-chart block
+    # Z - g55^-1 tau1 rho1 the body of Z; both are checked above.
     Zi = inv_even(Z)
-    den = g55 - (rho1 @ Zi @ tau1).entries[0][0]
-    if not den.body():
-        raise OutsideBigCell("chart normalizer has zero scalar part")
-    d = den.inv()
+    d = (g55 - (rho1 @ Zi @ tau1).entries[0][0]).inv()
     A = W @ Zi
     alpha = rho1 @ Zi
     beta = (tau2 - W @ Zi @ tau1).scale(d)
@@ -164,6 +160,22 @@ def big_cell_lift(pt: BigCellPoint) -> SuperMatrix:
 def flag_act(g: SuperMatrix, pt: BigCellPoint) -> BigCellPoint:
     """Action of an invertible (4|1) matrix on a big-cell point."""
     return flag_pi(g @ big_cell_lift(pt))
+
+
+def action_axioms_check(g1: SuperMatrix, g2: SuperMatrix, x) -> bool:
+    """Identity acts trivially and composition matches; x picks the action.
+
+    A graded column is acted on by matrix product; a BigCellPoint through the
+    chart map.
+    """
+    ident = SuperMatrix.identity(g1.signature, g1.row_shape)
+    if isinstance(x, BigCellPoint):
+        if flag_act(ident, x) != x:
+            return False
+        return flag_act(g1 @ g2, x) == flag_act(g1, flag_act(g2, x))
+    if ident @ x != x:
+        return False
+    return (g1 @ g2) @ x == g1 @ (g2 @ x)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from .matrix import (
     supertrace,
     supertranspose,
 )
-from .flag import BigCellPoint, flag_act
 from .rational import rat_inv, rat_transpose
 from . import sampling
 
@@ -288,20 +287,3 @@ def naturality_check(phi, g: SuperMatrix) -> bool:
         return False
     h = supertranspose(g)
     return morphism_map(phi, g @ h) == mg @ morphism_map(phi, h)
-
-
-def action_axioms_check(g1: SuperMatrix, g2: SuperMatrix, x) -> bool:
-    """Identity acts trivially and composition matches; x picks the action.
-
-    A graded column is acted on by matrix product; a BigCellPoint through the
-    chart map.
-    """
-    if isinstance(x, BigCellPoint):
-        ident = SuperMatrix.identity(g1.signature, g1.row_shape)
-        if flag_act(ident, x) != x:
-            return False
-        return flag_act(g1 @ g2, x) == flag_act(g1, flag_act(g2, x))
-    ident = SuperMatrix.identity(g1.signature, g1.row_shape)
-    if ident @ x != x:
-        return False
-    return (g1 @ g2) @ x == g1 @ (g2 @ x)

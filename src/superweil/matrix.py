@@ -27,6 +27,7 @@ from .errors import (
     ShapeMismatch,
     SignatureMismatch,
 )
+from .rational import rat_det
 
 
 def _coerce_entry(sig: Signature, x):
@@ -293,22 +294,17 @@ def from_blocks(p, q, r, s) -> SuperMatrix:
 def supertranspose(g: SuperMatrix) -> SuperMatrix:
     """Graded transpose: blocks (p, q, r, s) |-> (p^T, r^T, -q^T, s^T).
 
-    Reverses products: (g h)^st = h^st g^st.
+    Entrywise st(g)[a][b] is -g[b][a] when b is an even row and a an odd
+    column of g, and g[b][a] otherwise.  Reverses products:
+    (g h)^st = h^st g^st.
     """
-    p, q, r, s = g.blocks()
-    U = SuperMatrix.unchecked
-    sig = g.signature
-    m, n = g.row_shape
-    mc, nc = g.col_shape
-    pT = U(sig, (mc, 0), (m, 0), _grid_T(p.entries, mc, m))
-    rT = U(sig, (mc, 0), (0, n), _grid_T(r.entries, mc, n))
-    qT = U(sig, (0, nc), (m, 0), _grid_T(q.entries, nc, m))
-    sT = U(sig, (0, nc), (0, n), _grid_T(s.entries, nc, n))
-    return from_blocks(pT, rT, -qT, sT)
-
-
-def _grid_T(entries, nr, nc):
-    return [[entries[j][i] for j in range(nc)] for i in range(nr)]
+    m, mc = g.row_shape[0], g.col_shape[0]
+    e = g.entries
+    rows = [
+        [-e[b][a] if b < m and a >= mc else e[b][a] for b in range(g.total_rows)]
+        for a in range(g.total_cols)
+    ]
+    return SuperMatrix.unchecked(g.signature, g.col_shape, g.row_shape, rows)
 
 
 def supertrace(g: SuperMatrix) -> AlgebraElement:
@@ -374,14 +370,10 @@ def _grid_det(sig: Signature, rows) -> AlgebraElement:
     return rec((1 << n) - 1)
 
 
-def inv_even(g: SuperMatrix) -> SuperMatrix:
-    """Inverse of an all-even square matrix via adjugate over determinant."""
-    d = det_even(g)
-    if not d.body():
-        raise NotInvertible("even matrix has a singular scalar part")
+def _adjugate(g: SuperMatrix) -> SuperMatrix:
+    """Transposed cofactor matrix of an all-even square matrix: g adj(g) = det(g) 1."""
     n = g.total_rows
     sig = g.signature
-    dinv = d.inv()
     grid = g.entries
     out = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -391,27 +383,36 @@ def inv_even(g: SuperMatrix) -> SuperMatrix:
                 for a in range(n) if a != j
             ]
             cof = _grid_det(sig, minor)
-            if (i + j) & 1:
-                cof = -cof
-            out[i][j] = cof * dinv
+            out[i][j] = -cof if (i + j) & 1 else cof
     return SuperMatrix.unchecked(sig, g.row_shape, g.col_shape, out)
 
 
-def _body_block_det(block: SuperMatrix) -> Fraction:
-    from .rational import rat_det
+def inv_even(g: SuperMatrix) -> SuperMatrix:
+    """Inverse of an all-even square matrix via adjugate over determinant."""
+    d = det_even(g)
+    if not d.body():
+        raise NotInvertible("even matrix has a singular scalar part")
+    return _adjugate(g).scale(d.inv())
 
-    return rat_det(body_matrix(block))
+
+def _invertible_blocks(g: SuperMatrix):
+    """Blocks (p, q, r, s) of g after checking that g is invertible.
+
+    Over a Weil superalgebra g is invertible exactly when it is square and
+    the bodies of its diagonal blocks p and s are invertible.
+    """
+    if g.row_shape != g.col_shape:
+        raise NotSquare(f"shape {g.row_shape}x{g.col_shape} is not square")
+    blocks = g.blocks()
+    for block, name in ((blocks[0], "even-even"), (blocks[3], "odd-odd")):
+        if rat_det(body_matrix(block)) == 0:
+            raise NotInvertible(f"{name} block has a singular scalar part")
+    return blocks
 
 
 def smat_inv(g: SuperMatrix) -> SuperMatrix:
     """Two-sided inverse; exists iff the scalar parts of p and s are invertible."""
-    if g.row_shape != g.col_shape:
-        raise NotSquare(f"shape {g.row_shape}x{g.col_shape} is not square")
-    p, q, r, s = g.blocks()
-    if _body_block_det(p) == 0:
-        raise NotInvertible("even-even block has a singular scalar part")
-    if _body_block_det(s) == 0:
-        raise NotInvertible("odd-odd block has a singular scalar part")
+    p, q, r, s = _invertible_blocks(g)
     sinv = inv_even(s)
     x = p - q @ sinv @ r
     xinv = inv_even(x)
@@ -422,25 +423,21 @@ def smat_inv(g: SuperMatrix) -> SuperMatrix:
 
 
 def is_invertible(g: SuperMatrix) -> bool:
-    if g.row_shape != g.col_shape:
+    try:
+        _invertible_blocks(g)
+    except (NotSquare, NotInvertible):
         return False
-    p, _, _, s = g.blocks()
-    return _body_block_det(p) != 0 and _body_block_det(s) != 0
+    return True
 
 
 def berezinian(g: SuperMatrix) -> AlgebraElement:
     """ber(g) = det(p - q s^-1 r) * det(s)^-1 for invertible g."""
-    if g.row_shape != g.col_shape:
-        raise NotSquare(f"shape {g.row_shape}x{g.col_shape} is not square")
-    p, q, r, s = g.blocks()
-    if _body_block_det(p) == 0:
-        raise NotInvertible("even-even block has a singular scalar part")
+    p, q, r, s = _invertible_blocks(g)
     if g.row_shape[1] == 0:
         return det_even(p)
-    if _body_block_det(s) == 0:
-        raise NotInvertible("odd-odd block has a singular scalar part")
-    sinv = inv_even(s)
-    return det_even(p - q @ sinv @ r) * det_even(s).inv()
+    dsinv = det_even(s).inv()
+    sinv = _adjugate(s).scale(dsinv)
+    return det_even(p - q @ sinv @ r) * dsinv
 
 
 def exp_nilpotent(X: SuperMatrix) -> SuperMatrix:

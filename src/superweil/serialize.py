@@ -3,9 +3,9 @@
 One canonical byte string per value: terms are sorted by monomial, indices
 ascend, coefficients are reduced fraction strings ("3", "-1/2"), and JSON is
 emitted compactly with a fixed key order.  Parsing rejects anything off that
-form (wrong key sets, unsorted terms, zero or unreduced coefficients, grading
-violations) with a ParseError naming the offending path, so round-tripping is
-byte-stable.
+form (wrong or duplicate keys, unsorted terms, zero or unreduced coefficients,
+grading violations) with a ParseError naming the offending path, so
+round-tripping is byte-stable.
 """
 
 import json
@@ -24,9 +24,18 @@ def dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _unique_keys(pairs) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        dup = next(k for k in keys if keys.count(k) > 1)
+        raise ParseError(f"invalid JSON: duplicate key {dup!r}")
+    return obj
+
+
 def loads(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     except RecursionError:

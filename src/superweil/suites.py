@@ -32,6 +32,7 @@ from .matrix import (
 from .flag import (
     BigCellPoint,
     PoincareElement,
+    action_axioms_check,
     big_cell_lift,
     equivariance_residual,
     flag_pi,
@@ -49,7 +50,6 @@ from .groups import (
     P,
     PiSp,
     SL,
-    action_axioms_check,
     group_contains,
     lie_algebra_contains,
     naturality_check,

@@ -40,12 +40,15 @@ def test_verify_suite_selection(capsys):
     assert "algebra/" in out and "matrix/" not in out
 
 
-def test_verify_config_errors(capsys):
+def test_verify_config_errors(tmp_path, capsys):
     assert main(["verify", "--trials", "-3"]) == 2
     assert main(["verify", "--suite", "nope"]) == 2
     assert main(["verify", "--odd", "40"]) == 2
     assert main(["verify", "--trials", "2", "--only-trial", "7"]) == 2
-    capsys.readouterr()
+    # a report into a missing directory
+    assert main(["verify", "--trials", "1", "--odd", "4", "--suite", "algebra",
+                 "--report", str(tmp_path / "gone" / "r.json")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_verify_report_deterministic(tmp_path, capsys):
@@ -136,9 +139,12 @@ def test_compute_errors(tmp_path, capsys):
     z = SuperMatrix.zeros(SIG, (2, 2), (2, 2))
     zp = write(tmp_path / "z.json", S.matrix_to_obj(z))
     assert main(["compute", "ber", "--in", zp]) == 3
-    # missing file is a config problem
+    # a missing input file or output directory is a config problem
     assert main(["compute", "ber", "--in", str(tmp_path / "gone.json")]) == 2
-    capsys.readouterr()
+    ip = write(tmp_path / "i.json", S.matrix_to_obj(SuperMatrix.identity(SIG, (2, 2))))
+    assert main(["compute", "ber", "--in", ip,
+                 "--out", str(tmp_path / "gone" / "x.json")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("payload", [
@@ -147,7 +153,10 @@ def test_compute_errors(tmp_path, capsys):
     S.dumps(S.matrix_to_obj(SuperMatrix.identity(SIG, (2, 2))))
     .replace('"c":"1"', '"c":"' + "1" * 5000 + '"', 1).encode(),
     b"[" * 100000 + b"]" * 100000,
-], ids=["not_utf8", "long_coefficient", "deep_nesting"])
+    # the identity behind a bogus first "rows" key
+    S.dumps(S.matrix_to_obj(SuperMatrix.identity(SIG, (2, 2))))
+    .replace('{"rows":', '{"rows":{"even":9,"odd":9},"rows":', 1).encode(),
+], ids=["not_utf8", "long_coefficient", "deep_nesting", "duplicate_keys"])
 def test_compute_input_failures_are_parse_errors(tmp_path, capsys, payload):
     path = tmp_path / "in.json"
     path.write_bytes(payload)

@@ -48,6 +48,27 @@ def test_outside_big_cell():
         flag_pi(g)
 
 
+def test_big_cell_is_decided_by_bodies():
+    # draws with zero bodies allowed: flag_pi leaves the big cell exactly when
+    # body(Z) is singular or body(g55) is zero; inside it the second chart is
+    # defined too, so the twistor residual can be taken
+    sig = Signature(1, 4)
+    rng = random.Random(505)
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        g = sampling.graded_matrix(sig, (4, 1), (4, 1), rng, soul_terms=2)
+        (a, b), (c, d) = [[g[i, j].body() for j in range(2)] for i in range(2)]
+        inside = a * d - b * c != 0 and g[4, 4].body() != 0
+        seen[inside] += 1
+        if inside:
+            flag_pi(g)
+            assert twistor_residual(g).is_zero_matrix()
+        else:
+            with pytest.raises(OutsideBigCell):
+                flag_pi(g)
+    assert min(seen.values()) >= 10
+
+
 def test_lift_is_section():
     rng = random.Random(501)
     for _ in range(15):

@@ -6,6 +6,7 @@ import pytest
 
 from superweil.algebra import AlgebraMorphism, Signature
 from superweil.errors import ShapeMismatch, UnsupportedLabel
+from superweil.flag import action_axioms_check
 from superweil.groups import (
     GL,
     OSp,
@@ -13,7 +14,6 @@ from superweil.groups import (
     PiSp,
     Q,
     SL,
-    action_axioms_check,
     group_contains,
     lie_algebra_contains,
     naturality_check,

@@ -141,6 +141,12 @@ def test_rejects_bad_point():
 def test_rejects_invalid_json_text():
     with pytest.raises(ParseError, match="invalid JSON"):
         loads("{oops")
+    # duplicate keys, at the top or nested; equal keys in sibling objects are fine
+    with pytest.raises(ParseError, match="duplicate key 'rows'"):
+        loads('{"rows": 1, "cols": 2, "rows": 3}')
+    with pytest.raises(ParseError, match="duplicate key 'c'"):
+        loads('[{"a": {"c": 1, "c": 1}}]')
+    assert loads('{"a": {"c": 1}, "b": {"c": 2}}') == {"a": {"c": 1}, "b": {"c": 2}}
     with pytest.raises(ParseError, match="unknown kind"):
         parse_serialize_roundtrip("{}", "banana")
 
