@@ -1,7 +1,7 @@
 """Exact arithmetic for Grassmann numbers, supermatrices, and supergroups.
 
 Elements of a finitely generated Weil superalgebra (even square-zero and odd
-anticommuting generators over the rationals) with exact Fraction
+anticommuting generators over the rationals) with exact rational
 coefficients, graded matrices over them with supertranspose, Berezinian and
 blockwise inversion, membership predicates for the classical supergroup
 families, and an executable chart of the super-Minkowski big cell inside the

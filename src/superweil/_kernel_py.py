@@ -2,9 +2,11 @@
 
 A monomial in the generators e1..ep (even, square zero) and t1..tq (odd,
 anticommuting) is packed into one int key: bits 0..15 hold the even index
-set, bits 16..31 the odd index set.  An element is a dict {key: Fraction}
-holding no zero coefficients.  The rest of the package binds these
-functions through _backend.
+set, bits 16..31 the odd index set.  A term map is a dict {key: coefficient}
+holding no zero coefficients.  The functions only add, negate and multiply
+coefficients, so they work for any exact number type; algebra passes int
+numerators that share one denominator, which it keeps outside the map.  The
+rest of the package binds these functions through _backend.
 """
 
 MASK = 0xFFFF

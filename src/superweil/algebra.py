@@ -8,7 +8,12 @@ soul is the nilpotent rest.  An element is invertible exactly when its body
 is nonzero, and the inverse is computed by a finite geometric series because
 soul**(p+q+1) = 0.
 
-Elements are immutable; all coefficients are fractions.Fraction, never floats.
+Elements are immutable and exact, never floats.  An element stores integer
+numerators {key: int} over one common denominator den, in canonical form:
+den > 0, no zero numerator, gcd(den, every numerator) = 1, and zero is
+({}, 1); so equal elements have equal numerators and denominators.  Only this
+module knows that layout.  Coefficients cross the API as fractions.Fraction:
+constructors take int or Fraction, and body() and items() return Fractions.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 from . import _backend as K
@@ -60,6 +66,13 @@ def _sort_token(key: int):
     return (_indices(K.even_bits(key)), _indices(K.odd_bits(key)))
 
 
+def _ratio(c) -> tuple:
+    """(numerator, denominator > 0) of a rational scalar."""
+    if not isinstance(c, (int, Fraction)):
+        c = Fraction(c)
+    return c.numerator, c.denominator
+
+
 @dataclass(frozen=True)
 class Signature:
     """Generator counts (even, odd) of a Lambda(p, q) algebra."""
@@ -79,66 +92,116 @@ class Signature:
             )
 
     def zero(self) -> "AlgebraElement":
-        return _make(self, {})
+        return _make(self, {}, 1)
 
     def one(self) -> "AlgebraElement":
-        return _make(self, {0: Fraction(1)})
+        return _make(self, {0: 1}, 1)
 
     def scalar(self, c: Scalar) -> "AlgebraElement":
-        c = Fraction(c)
-        return _make(self, {0: c} if c else {})
+        n, d = _ratio(c)
+        return _make(self, {0: n} if n else {}, d)
 
     def eps(self, i: int) -> "AlgebraElement":
         """The i-th even generator, 1-based."""
         if not 1 <= i <= self.even:
             raise ValueError(f"even generator index {i} out of range 1..{self.even}")
-        return _make(self, {K.pack(1 << (i - 1), 0): Fraction(1)})
+        return _make(self, {K.pack(1 << (i - 1), 0): 1}, 1)
 
     def theta(self, j: int) -> "AlgebraElement":
         """The j-th odd generator, 1-based."""
         if not 1 <= j <= self.odd:
             raise ValueError(f"odd generator index {j} out of range 1..{self.odd}")
-        return _make(self, {K.pack(0, 1 << (j - 1)): Fraction(1)})
+        return _make(self, {K.pack(0, 1 << (j - 1)): 1}, 1)
 
     def monomial(self, evens, odds, coeff: Scalar = 1) -> "AlgebraElement":
         """coeff * (product of eps at ascending evens) * (product of theta at odds)."""
         key = K.pack(
             _mask_of(evens, self.even, "even"), _mask_of(odds, self.odd, "odd")
         )
-        c = Fraction(coeff)
-        return _make(self, {key: c} if c else {})
+        n, d = _ratio(coeff)
+        return _make(self, {key: n} if n else {}, d)
 
     def from_terms(self, mapping) -> "AlgebraElement":
         """Element from {(evens_tuple, odds_tuple): coeff}; terms may repeat."""
-        terms: dict = {}
+        coeffs = []
         for (evens, odds), coeff in mapping.items():
             key = K.pack(
                 _mask_of(evens, self.even, "even"), _mask_of(odds, self.odd, "odd")
             )
-            tot = terms.get(key, Fraction(0)) + Fraction(coeff)
-            if tot:
-                terms[key] = tot
-            else:
-                terms.pop(key, None)
-        return _make(self, terms)
+            coeffs.append((key, *_ratio(coeff)))
+        den = lcm(*(d for _, _, d in coeffs))
+        terms: dict = {}
+        for key, n, d in coeffs:
+            terms[key] = terms.get(key, 0) + n * (den // d)
+        return _make(self, {k: v for k, v in terms.items() if v}, den)
 
 
-def _make(sig: Signature, terms: dict) -> "AlgebraElement":
+def _make(sig: Signature, terms: dict, den: int) -> "AlgebraElement":
+    """Element with numerators terms (no zeros) over den > 0, put in canonical
+    form by one gcd pass."""
+    if den != 1:
+        if not terms:
+            den = 1
+        else:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {k: v // g for k, v in terms.items()}
+                den //= g
     e = AlgebraElement.__new__(AlgebraElement)
     e.signature = sig
     e.terms = terms
+    e.den = den
     return e
 
 
-class AlgebraElement:
-    """One element of Lambda(p, q), stored as a sparse monomial-to-coefficient map.
+def _scaled(x: "AlgebraElement", n: int, d: int) -> "AlgebraElement":
+    """x * n / d for ints n != 0 and d > 0."""
+    return _make(x.signature, x.terms if n == 1 else K.scale_terms(x.terms, n),
+                 x.den * d)
 
-    The terms dict is owned by the element and must not be mutated.  Construct
-    through Signature (zero, one, scalar, eps, theta, monomial, from_terms)
-    rather than directly.
+
+def _on_common_den(a: "AlgebraElement", b: "AlgebraElement"):
+    """(numerators of a, numerators of b, den) over den = lcm(a.den, b.den)."""
+    da, db = a.den, b.den
+    if da == db:
+        return a.terms, b.terms, da
+    den = lcm(da, db)
+    fa, fb = den // da, den // db
+    ta = a.terms if fa == 1 else K.scale_terms(a.terms, fa)
+    tb = b.terms if fb == 1 else K.scale_terms(b.terms, fb)
+    return ta, tb, den
+
+
+def sum_of_products(sig: Signature, triples: list) -> "AlgebraElement":
+    """Sum of c * a * b over the (c, a, b) in triples: int c, elements a, b.
+
+    Each product is one kernel mul_into, also when an operand is zero.  The
+    products land on one common denominator, the lcm of the operands'
+    denominator products, by scaling the left factor's numerators.
+    """
+    den = 1
+    for _, a, b in triples:
+        d = a.den * b.den
+        if den % d:
+            den = lcm(den, d)
+    acc: dict = {}
+    for c, a, b in triples:
+        f = c * den // (a.den * b.den)
+        K.mul_into(acc, a.terms if f == 1 else K.scale_terms(a.terms, f), b.terms)
+    return _make(sig, acc, den)
+
+
+class AlgebraElement:
+    """One element of Lambda(p, q): integer numerators over one denominator.
+
+    The terms dict maps packed monomial keys to nonzero int numerators and den
+    is their positive common denominator, in the canonical form described in
+    the module docstring.  Both are owned by the element and must not be
+    mutated.  Construct through Signature (zero, one, scalar, eps, theta,
+    monomial, from_terms) rather than directly.
     """
 
-    __slots__ = ("signature", "terms")
+    __slots__ = ("signature", "terms", "den")
 
     # arithmetic
 
@@ -158,7 +221,8 @@ class AlgebraElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _make(self.signature, K.add_terms(self.terms, o.terms))
+        ta, tb, den = _on_common_den(self, o)
+        return _make(self.signature, K.add_terms(ta, tb), den)
 
     __radd__ = __add__
 
@@ -166,29 +230,38 @@ class AlgebraElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _make(self.signature, K.sub_terms(self.terms, o.terms))
+        ta, tb, den = _on_common_den(self, o)
+        return _make(self.signature, K.sub_terms(ta, tb), den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _make(self.signature, K.sub_terms(o.terms, self.terms))
+        ta, tb, den = _on_common_den(o, self)
+        return _make(self.signature, K.sub_terms(ta, tb), den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _make(self.signature, K.scale_terms(self.terms, Fraction(other)))
+            return self._times(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _make(self.signature, K.mul_terms(self.terms, o.terms))
+        return _make(self.signature, K.mul_terms(self.terms, o.terms),
+                     self.den * o.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _make(self.signature, K.scale_terms(self.terms, Fraction(other)))
+            return self._times(other)
         return NotImplemented
 
+    def _times(self, c: Scalar) -> "AlgebraElement":
+        n, d = _ratio(c)
+        if not n:
+            return self.signature.zero()
+        return _scaled(self, n, d)
+
     def __neg__(self):
-        return _make(self.signature, K.neg_terms(self.terms))
+        return _make(self.signature, K.neg_terms(self.terms), self.den)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -205,17 +278,17 @@ class AlgebraElement:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            n, d = _ratio(other)
+            if not n:
                 raise ZeroDivisionError("division by zero scalar")
-            return _make(self.signature, K.scale_terms(self.terms, 1 / c))
+            return _scaled(self, d if n > 0 else -d, abs(n))
         if isinstance(other, AlgebraElement):
             return self * other.inv()
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Fraction(other) * self.inv()
+            return self.inv()._times(other)
         return NotImplemented
 
     def __eq__(self, other):
@@ -223,7 +296,8 @@ class AlgebraElement:
             other = self.signature.scalar(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.signature == other.signature and self.terms == other.terms
+        return (self.signature == other.signature and self.den == other.den
+                and self.terms == other.terms)
 
     __hash__ = None  # mutable-by-convention container inside; not hashable
 
@@ -233,14 +307,14 @@ class AlgebraElement:
         return not self.terms
 
     def body(self) -> Fraction:
-        return self.terms.get(0, Fraction(0))
+        return Fraction(self.terms.get(0, 0), self.den)
 
     def soul(self) -> "AlgebraElement":
         if 0 not in self.terms:
             return self
         rest = dict(self.terms)
         del rest[0]
-        return _make(self.signature, rest)
+        return _make(self.signature, rest, self.den)
 
     def parity(self) -> Parity:
         """EVEN for 0 and purely even elements, ODD for purely odd, else MIXED."""
@@ -260,14 +334,17 @@ class AlgebraElement:
     def inv(self) -> "AlgebraElement":
         """Multiplicative inverse via the terminating geometric series.
 
-        (b + s)^-1 = (1/b) * sum_k (-s/b)^k, zero after k = p + q since any
-        (p+q+1)-fold product of soul terms repeats a generator.
+        With b the body numerator and s the soul numerators over den,
+        ((b + s) / den)^-1 = (den / b) * sum_k (-s/b)^k, zero after k = p + q
+        since any (p+q+1)-fold product of soul terms repeats a generator.
         """
-        b = self.body()
-        if not b:
+        b = self.terms.get(0)
+        if b is None:
             raise BodyZero("element has zero body, not invertible")
         sig = self.signature
-        step = _make(sig, K.scale_terms(self.soul().terms, Fraction(-1) / b))
+        sign = 1 if b > 0 else -1
+        step = _make(sig, {k: -sign * v for k, v in self.terms.items() if k},
+                     abs(b))
         acc = sig.one()
         power = sig.one()
         for _ in range(sig.even + sig.odd):
@@ -275,12 +352,13 @@ class AlgebraElement:
             if power.is_zero():
                 break
             acc = acc + power
-        return _make(sig, K.scale_terms(acc.terms, Fraction(1) / b))
+        return _scaled(acc, sign * self.den, abs(b))
 
     def items(self):
         """Terms as ((evens, odds), coeff) in canonical ascending monomial order."""
+        den = self.den
         return [
-            (_sort_token(key), self.terms[key])
+            (_sort_token(key), Fraction(self.terms[key], den))
             for key in sorted(self.terms, key=_sort_token)
         ]
 
@@ -355,10 +433,12 @@ class AlgebraMorphism:
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         if not isinstance(x, AlgebraElement) or x.signature != self.source:
             raise SignatureMismatch("argument does not live over the source signature")
+        images = [(c, self._image(key)) for key, c in x.terms.items()]
+        den = lcm(*(img.den for _, img in images))
         acc: dict = {}
-        for key, coeff in x.terms.items():
-            K.mul_into(acc, {0: coeff}, self._image(key).terms)
-        return _make(self.target, acc)
+        for c, img in images:
+            K.mul_into(acc, {0: c * (den // img.den)}, img.terms)
+        return _make(self.target, acc, den * x.den)
 
     def __repr__(self):
         s, t = self.source, self.target
@@ -382,7 +462,7 @@ def morphism_violations(source, target, even_images, odd_images) -> list:
             if not isinstance(img, AlgebraElement) or img.signature != target:
                 problems.append(f"{label} image {pos} not over the target signature")
                 continue
-            if img.body():
+            if 0 in img.terms:
                 problems.append(f"{label} image {pos} has nonzero body")
             if not img.is_zero() and img.parity() is not want:
                 problems.append(f"{label} image {pos} is not purely {label}")

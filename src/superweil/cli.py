@@ -62,6 +62,9 @@ def _run_verify(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    # open the report before the run, so an unwritable path costs no suites
+    if args.report and not _write(args.report, ""):
+        return 2
     report = run_suites(cfg)
     print(report.text())
     if args.report and not _write(args.report, serialize.dumps(report.to_obj())):

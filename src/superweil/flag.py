@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, Parity, Signature
 from .errors import (
+    BodyZero,
     KernelError,
     NotInvertible,
     OutsideBigCell,
@@ -273,11 +274,14 @@ def poincare_decompose(h: SuperMatrix) -> PoincareElement:
     L = _sub(h, (0, 1), (0, 1), (2, 0), (2, 0))
     R = _sub(h, (2, 3), (2, 3), (2, 0), (2, 0))
     d = h.entries[4][4]
-    if rat_det(body_matrix(L)) == 0 or rat_det(body_matrix(R)) == 0 or not d.body():
-        raise NotInvertible("Poincaré parameters are not invertible")
+    # the inverses decide invertibility, raising NotInvertible on a bad body
     N = _sub(h, (2, 3), (0, 1), (2, 0), (2, 0)) @ inv_even(L)
     chi = inv_even(R) @ _sub(h, (2, 3), (4,), (2, 0), (0, 1))
-    phi = _sub(h, (4,), (0, 1), (0, 1), (2, 0)).scale(d.inv())
+    try:
+        dinv = d.inv()
+    except BodyZero:
+        raise NotInvertible("d has zero scalar part") from None
+    phi = _sub(h, (4,), (0, 1), (0, 1), (2, 0)).scale(dinv)
     return PoincareElement(L=L, N=N, R=R, chi=chi, phi=phi, d=d)
 
 
@@ -334,6 +338,11 @@ class JacobianReport:
     odd_matrix: tuple   # 4 coordinate rows, one column per odd direction
 
 
+def _coeff(x: AlgebraElement, monomial) -> Fraction:
+    """Coefficient of monomial, an (evens, odds) pair, in x."""
+    return dict(x.items()).get(monomial, Fraction(0))
+
+
 def _first_order_point(direction, sig: Signature, gen: AlgebraElement):
     rows = [
         [sig.one() if i == j else sig.zero() for j in range(5)] for i in range(5)
@@ -355,27 +364,27 @@ def jacobian_at_identity(basis: str) -> JacobianReport:
         raise ValueError(f"unknown basis {basis!r}; use gl, sl, or stabilizer")
 
     sig_e = Signature(1, 0)
-    eps_key = 1  # packed key of e1
+    e1 = ((1,), ())
     even_cols = []
     for direction in _EVEN_DIRECTIONS[basis]:
         pt = _first_order_point(direction, sig_e, sig_e.eps(1))
         even_cols.append([
-            pt.A[0, 0].terms.get(eps_key, Fraction(0)),
-            pt.A[0, 1].terms.get(eps_key, Fraction(0)),
-            pt.A[1, 0].terms.get(eps_key, Fraction(0)),
-            pt.A[1, 1].terms.get(eps_key, Fraction(0)),
+            _coeff(pt.A[0, 0], e1),
+            _coeff(pt.A[0, 1], e1),
+            _coeff(pt.A[1, 0], e1),
+            _coeff(pt.A[1, 1], e1),
         ])
 
     sig_o = Signature(0, 1)
-    theta_key = 1 << 16  # packed key of t1
+    t1 = ((), (1,))
     odd_cols = []
     for pos in _ODD_DIRECTIONS[basis]:
         pt = _first_order_point([pos], sig_o, sig_o.theta(1))
         odd_cols.append([
-            pt.alpha[0, 0].terms.get(theta_key, Fraction(0)),
-            pt.alpha[0, 1].terms.get(theta_key, Fraction(0)),
-            pt.beta[0, 0].terms.get(theta_key, Fraction(0)),
-            pt.beta[1, 0].terms.get(theta_key, Fraction(0)),
+            _coeff(pt.alpha[0, 0], t1),
+            _coeff(pt.alpha[0, 1], t1),
+            _coeff(pt.beta[0, 0], t1),
+            _coeff(pt.beta[1, 0], t1),
         ])
 
     even_matrix = tuple(

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import _backend as K
-from .algebra import AlgebraElement, Parity, Signature, _make
+from .algebra import AlgebraElement, Parity, Signature, sum_of_products
 from .errors import (
     BodyNotZero,
     GradingError,
@@ -152,29 +151,20 @@ class SuperMatrix:
         if not isinstance(other, SuperMatrix):
             return NotImplemented
         self._check_same_frame(other)
-        rows = [
-            [_make(self.signature, K.add_terms(a.terms, b.terms))
-             for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)
-        ]
+        rows = [[a + b for a, b in zip(ra, rb)]
+                for ra, rb in zip(self.entries, other.entries)]
         return SuperMatrix.unchecked(self.signature, self.row_shape, self.col_shape, rows)
 
     def __sub__(self, other):
         if not isinstance(other, SuperMatrix):
             return NotImplemented
         self._check_same_frame(other)
-        rows = [
-            [_make(self.signature, K.sub_terms(a.terms, b.terms))
-             for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)
-        ]
+        rows = [[a - b for a, b in zip(ra, rb)]
+                for ra, rb in zip(self.entries, other.entries)]
         return SuperMatrix.unchecked(self.signature, self.row_shape, self.col_shape, rows)
 
     def __neg__(self):
-        rows = [
-            [_make(self.signature, K.neg_terms(a.terms)) for a in ra]
-            for ra in self.entries
-        ]
+        rows = [[-a for a in ra] for ra in self.entries]
         return SuperMatrix.unchecked(self.signature, self.row_shape, self.col_shape, rows)
 
     def __matmul__(self, other):
@@ -187,21 +177,14 @@ class SuperMatrix:
                 f"inner shapes {self.col_shape} and {other.row_shape} differ"
             )
         sig = self.signature
-        inner = self.total_cols
         b = other.entries
-        rows = []
-        for ra in self.entries:
-            out_row = []
-            for j in range(other.total_cols):
-                acc: dict = {}
-                for k in range(inner):
-                    ta = ra[k].terms
-                    if ta:
-                        tb = b[k][j].terms
-                        if tb:
-                            K.mul_into(acc, ta, tb)
-                out_row.append(_make(sig, acc))
-            rows.append(out_row)
+        cols = [[row[j] for row in b] for j in range(other.total_cols)]
+        rows = [
+            [sum_of_products(sig, [(1, x, y) for x, y in zip(ra, col)
+                                   if not (x.is_zero() or y.is_zero())])
+             for col in cols]
+            for ra in self.entries
+        ]
         return SuperMatrix.unchecked(sig, self.row_shape, other.col_shape, rows)
 
     def scale(self, c) -> "SuperMatrix":
@@ -211,10 +194,8 @@ class SuperMatrix:
             raise GradingError(
                 "scaling by a non-even element; use a scalar matrix product"
             )
-        rows = [
-            [_make(self.signature, K.mul_terms(c.terms, a.terms)) for a in ra]
-            for ra in self.entries
-        ]
+        sig = self.signature
+        rows = [[sum_of_products(sig, [(1, c, a)]) for a in ra] for ra in self.entries]
         return SuperMatrix.unchecked(self.signature, self.row_shape, self.col_shape, rows)
 
     # graded structure
@@ -347,23 +328,20 @@ def _grid_det(sig: Signature, rows) -> AlgebraElement:
             return val
         r = n - colmask.bit_count()
         row = rows[r]
-        acc: dict = {}
+        triples = []
         pos = 0
         rest = colmask
         while rest:
             low = rest & -rest
             j = low.bit_length() - 1
             e = row[j]
-            if e.terms:
+            if not e.is_zero():
                 sub = rec(colmask ^ low)
-                if sub.terms:
-                    prod = K.mul_terms(e.terms, sub.terms)
-                    if pos & 1:
-                        prod = K.neg_terms(prod)
-                    acc = K.add_terms(acc, prod)
+                if not sub.is_zero():
+                    triples.append((-1 if pos & 1 else 1, e, sub))
             pos += 1
             rest ^= low
-        out = _make(sig, acc)
+        out = sum_of_products(sig, triples)
         memo[colmask] = out
         return out
 

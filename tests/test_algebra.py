@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from test_kernel import ref_add, ref_mul
 
 from superweil.algebra import (
     MAX_GENERATORS,
@@ -207,6 +209,91 @@ def test_items_sorted_and_exact():
         assert keys == sorted(keys)
         for _, c in x.items():
             assert isinstance(c, Fraction) and c != 0
+
+
+# Exactness against the bubble-sort Fraction product of test_kernel, which
+# works on {(evens, odds): Fraction} maps and shares no code with the
+# numerator-over-denominator layout.
+
+ONE = {((), ()): Fraction(1)}
+
+
+def random_ref(sig, rng):
+    """A term map with mixed denominators; most draws get a body."""
+    out = {}
+    if rng.random() < 0.7:
+        out[((), ())] = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3)))
+    for _ in range(rng.randint(0, 6)):
+        evens = tuple(i for i in range(1, sig.even + 1) if rng.random() < 0.4)
+        odds = tuple(j for j in range(1, sig.odd + 1) if rng.random() < 0.4)
+        c = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9, 35)))
+        if (evens or odds) and c:
+            out[(evens, odds)] = c
+    return out
+
+
+def assert_canonical(x):
+    """Int numerators, none zero, over a positive den they share no factor
+    with; zero is ({}, 1)."""
+    assert type(x.den) is int and x.den > 0
+    assert all(type(v) is int and v for v in x.terms.values())
+    assert gcd(x.den, *x.terms.values()) == 1
+
+
+def assert_equals_ref(x, ref):
+    assert_canonical(x)
+    assert x.items() == sorted(ref.items())
+    assert all(type(c) is Fraction for _, c in x.items())
+
+
+@pytest.mark.parametrize("sig", [Signature(2, 4), Signature(1, 6)],
+                         ids=["L24", "L16"])
+def test_arithmetic_matches_reference(sig):
+    rng = random.Random(110)
+    for _ in range(60):
+        a, b = random_ref(sig, rng), random_ref(sig, rng)
+        x, y = sig.from_terms(a), sig.from_terms(b)
+        n = rng.choice((-3, 2, 7))
+        q = Fraction(rng.choice((-5, 2, 7)), rng.choice((3, 4, 9)))
+        assert_equals_ref(x, a)
+        assert_equals_ref(x + y, ref_add(a, b))
+        assert_equals_ref(x - y, ref_add(a, b, -1))
+        assert_equals_ref(-x, ref_add({}, a, -1))
+        assert_equals_ref(x * y, ref_mul(a, b))
+        assert_equals_ref(x * q, ref_add({}, a, q))
+        assert_equals_ref(n * x, ref_add({}, a, n))
+        assert_equals_ref(x / n, ref_add({}, a, Fraction(1, n)))
+        assert_equals_ref(x / q, ref_add({}, a, 1 / q))
+        assert_equals_ref(x + q, ref_add(a, {((), ()): q}))
+        if ((), ()) in b:
+            inv = y.inv()
+            assert_canonical(inv)
+            assert ref_mul(b, dict(inv.items())) == ONE
+            assert ref_mul(dict(inv.items()), b) == ONE
+            quot = x / y
+            assert_canonical(quot)
+            assert ref_mul(dict(quot.items()), b) == a
+            assert_equals_ref(q / y, ref_add({}, dict(inv.items()), q))
+
+
+def test_cancellation_is_canonical():
+    rng = random.Random(111)
+    zero = SIG.zero()
+    assert_canonical(zero)
+    for _ in range(40):
+        x = SIG.from_terms(random_ref(SIG, rng))
+        for got in (x - x, x + (-x), x * 0, (x - x) / 3):
+            assert_canonical(got)
+            assert got == zero and got.den == 1
+        for got in ((x * 3) / 3, (x / 3) * 3, (x / Fraction(2, 7)) * Fraction(2, 7),
+                    (x + Fraction(1, 3)) - Fraction(1, 3)):
+            assert_canonical(got)
+            assert got == x
+    half = SIG.theta(1) / 2
+    assert half + half == SIG.theta(1)
+    assert (half + half).den == 1
+    assert SIG.scalar(Fraction(6, 4)) == Fraction(3, 2)
+    assert (SIG.scalar(Fraction(1, 3)) * 3).items() == [(((), ()), Fraction(1))]
 
 
 def test_from_terms_merges():

@@ -48,7 +48,9 @@ def test_verify_config_errors(tmp_path, capsys):
     # a report into a missing directory
     assert main(["verify", "--trials", "1", "--odd", "4", "--suite", "algebra",
                  "--report", str(tmp_path / "gone" / "r.json")]) == 2
-    assert "config error" in capsys.readouterr().err
+    out = capsys.readouterr()
+    assert "config error" in out.err
+    assert out.out == ""  # the path is checked before any suite runs
 
 
 def test_verify_report_deterministic(tmp_path, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from superweil.algebra import Signature
-from superweil.errors import KernelError, OutsideBigCell, ShapeMismatch
+from superweil.errors import KernelError, NotInvertible, OutsideBigCell, ShapeMismatch
 from superweil.flag import (
     STABILIZER_ZEROS,
     BigCellPoint,
@@ -126,6 +126,19 @@ def test_poincare_decompose_rejects_pattern_break():
     bad = SuperMatrix(SIG, (4, 1), (4, 1), rows)
     with pytest.raises(KernelError):
         poincare_decompose(bad)
+
+
+@pytest.mark.parametrize("pos", [(1, 1), (3, 3), (4, 4)], ids=["L", "R", "d"])
+def test_poincare_decompose_rejects_singular_body(pos):
+    # a Poincaré-pattern matrix whose L, R or d has a singular body; the
+    # soul added on the diagonal keeps the entry itself nonzero
+    rows = [list(r) for r in SuperMatrix.identity(SIG, (4, 1)).entries]
+    rows[2][0] = SIG.one()
+    i, j = pos
+    rows[i][j] = SIG.theta(1) * SIG.theta(2)
+    h = SuperMatrix(SIG, (4, 1), (4, 1), rows)
+    with pytest.raises(NotInvertible):
+        poincare_decompose(h)
 
 
 def test_poincare_act_matches_matrix_action():

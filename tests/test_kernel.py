@@ -8,7 +8,11 @@ packed-mask kernel, so agreement pins down the Koszul sign convention.
 import random
 from fractions import Fraction
 
-from superweil import _backend, _kernel_py as kern
+import pytest
+
+from superweil import _backend, _kernel_py as kern, sampling
+from superweil.algebra import Signature
+from superweil.matrix import berezinian
 
 P, Q = 3, 5
 
@@ -140,3 +144,40 @@ def test_backend_names():
     assert kern.BACKEND_NAME == "pure"
     assert _backend.kernel is kern
     assert _backend.BACKEND == "pure"
+
+
+@pytest.fixture
+def kernel_work(monkeypatch):
+    """[mul_into calls, monomial pairs], counted through both kernel bindings."""
+    work = [0, 0]
+    inner = kern.mul_into
+
+    def counted(acc, a, b):
+        work[0] += 1
+        work[1] += len(a) * len(b)
+        inner(acc, a, b)
+
+    monkeypatch.setattr(kern, "mul_into", counted)  # mul_terms calls this one
+    monkeypatch.setattr(_backend, "mul_into", counted)
+    return work
+
+
+def test_work_counts_pinned(kernel_work):
+    """The monomial products of two fixed computations do not change with the
+    coefficient layout; a different count means a different algorithm."""
+    g = sampling.random_group_matrix(Signature(1, 6), (4, 1), random.Random(11))
+    kernel_work[:] = [0, 0]
+    berezinian(g)
+    assert kernel_work == [58, 5455]
+
+    rng = random.Random(12)
+    terms = {((), ()): Fraction(3, 2)}
+    for _ in range(30):
+        evens = tuple(i for i in (1, 2) if rng.random() < 0.3)
+        odds = tuple(j for j in range(1, 9) if rng.random() < 0.35)
+        if evens or odds:
+            terms[(evens, odds)] = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+    x = Signature(2, 8).from_terms(terms)
+    kernel_work[:] = [0, 0]
+    x.inv()
+    assert kernel_work == [6, 6237]
